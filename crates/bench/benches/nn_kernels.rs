@@ -9,7 +9,6 @@ use netsyn_fitness::encoding::{encode_candidate, encode_spec};
 use netsyn_fitness::trainer::{train_fitness_model, FitnessModelKind, TrainerConfig};
 use netsyn_fitness::{
     EncodingConfig, FitnessFunction, FitnessNet, FitnessNetConfig, LearnedFitness,
-    TraceEncodingCache,
 };
 use netsyn_nn::{Lstm, Matrix, Parameterized};
 use rand::SeedableRng;
@@ -169,17 +168,10 @@ fn bench_batched_vs_single(c: &mut Criterion) {
         });
     });
     group.bench_function(format!("score_batch_{POPULATION}"), |bench| {
-        // A fresh trace-encoding shard per call keeps this the *cold*
-        // batched pass it has always measured (plain `score_batch` now
-        // reuses the instance's trace memo across calls — the warm numbers
-        // live in the encode_cache bench).
-        bench.iter(|| {
-            black_box(fitness.score_batch_cached(
-                black_box(&population),
-                &spec,
-                &TraceEncodingCache::new(),
-            ))
-        });
+        // Plain `score_batch` scores against a fresh trace memo, so this is
+        // the cold batched pass; the warm numbers live in the encode_cache
+        // bench.
+        bench.iter(|| black_box(fitness.score_batch(black_box(&population), &spec)));
     });
     group.finish();
 }

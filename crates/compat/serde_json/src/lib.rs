@@ -133,9 +133,15 @@ fn write_string(s: &str, out: &mut String) {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// Upstream serde_json's default recursion limit: at most 127 arrays and
+/// objects may nest, so hostile input returns an [`Error`] instead of
+/// overflowing the stack.
+const RECURSION_LIMIT: u8 = 128;
+
 struct Parser<'s> {
     bytes: &'s [u8],
     offset: usize,
+    remaining_depth: u8,
 }
 
 impl<'s> Parser<'s> {
@@ -143,6 +149,7 @@ impl<'s> Parser<'s> {
         Parser {
             bytes: s.as_bytes(),
             offset: 0,
+            remaining_depth: RECURSION_LIMIT,
         }
     }
 
@@ -207,11 +214,23 @@ impl<'s> Parser<'s> {
                 }
             }
             Some(b'"') => self.parse_string().map(Content::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, failing once the recursion
+    /// limit is spent.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Content, Error>) -> Result<Content, Error> {
+        self.remaining_depth -= 1;
+        if self.remaining_depth == 0 {
+            return Err(self.error("recursion limit exceeded"));
+        }
+        let value = parse(self);
+        self.remaining_depth += 1;
+        value
     }
 
     fn parse_array(&mut self) -> Result<Content, Error> {
@@ -457,5 +476,32 @@ mod tests {
         assert!(from_str::<Vec<i64>>("[1,").is_err());
         assert!(from_str::<String>("\"open").is_err());
         assert!(from_str::<bool>("troo").is_err());
+    }
+
+    fn parse(json: &str) -> Result<Content, Error> {
+        Parser::new(json).parse_value()
+    }
+
+    #[test]
+    fn nesting_up_to_the_recursion_limit_parses() {
+        let depth = usize::from(RECURSION_LIMIT) - 1;
+        let json = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&json).is_ok());
+        let err = parse(&format!("[{json}]")).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+    }
+
+    #[test]
+    fn deeply_nested_arrays_error_instead_of_overflowing() {
+        let json = "[".repeat(100_000);
+        let err = from_str::<Vec<i64>>(&json).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+    }
+
+    #[test]
+    fn deeply_nested_objects_error_instead_of_overflowing() {
+        let json = "{\"a\":".repeat(100_000);
+        let err = from_str::<Vec<i64>>(&json).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
     }
 }

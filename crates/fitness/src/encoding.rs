@@ -401,10 +401,10 @@ impl Deserialize for SpecEncodingCache {
 ///
 /// The step encoder is a deterministic, batch-independent function of a
 /// value's token sequence (the trie-batched LSTM is bit-identical to
-/// per-sequence calls), so a hidden state computed in one `score_batch`
+/// per-sequence calls), so a hidden state computed in one batched scoring
 /// call can be served to every later call that sees the same value — across
-/// generations of one GA run, and across the K repeated runs of a task when
-/// a shard of the shared [`crate::FitnessCache`] is threaded through
+/// generations of one GA run, and across the K repeated runs of a task —
+/// when a shard of the shared [`crate::FitnessCache`] is threaded through
 /// [`crate::FitnessFunction::score_batch_cached`]. Serving a hit is
 /// bit-identical to recomputing, so a warm cache never changes a search
 /// trajectory.

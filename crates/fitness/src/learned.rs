@@ -35,11 +35,6 @@ pub struct LearnedFitness {
     /// exactly once across every `score` / `score_batch` call (derived
     /// state: cleared by `Clone`, ignored by `PartialEq` and serde).
     spec_cache: SpecEncodingCache,
-    /// Instance-owned trace-value encoding memo: even without an external
-    /// [`crate::FitnessCache`] shard, `score_batch` reuses the step-encoder
-    /// hidden states of every value seen in earlier generations (derived
-    /// state, like `spec_cache`).
-    trace_cache: TraceEncodingCache,
 }
 
 impl LearnedFitness {
@@ -63,7 +58,6 @@ impl LearnedFitness {
             cache_key,
             mutation_map: None,
             spec_cache: SpecEncodingCache::new(),
-            trace_cache: TraceEncodingCache::new(),
         }
     }
 
@@ -89,15 +83,6 @@ impl LearnedFitness {
     #[must_use]
     pub fn spec_encode_count(&self) -> usize {
         self.spec_cache.encode_count()
-    }
-
-    /// How many distinct trace values this instance's *own* memo ran
-    /// through the step encoder (misses of the instance cache; batches
-    /// scored through [`FitnessFunction::score_batch_cached`] count against
-    /// the external shard instead).
-    #[must_use]
-    pub fn trace_encode_count(&self) -> usize {
-        self.trace_cache.encode_count()
     }
 }
 
@@ -136,17 +121,17 @@ impl FitnessFunction for LearnedFitness {
         }
     }
 
-    /// Batched scoring: [`FitnessFunction::score_batch_cached`] against the
-    /// instance-owned trace memo, so repeated generations of one synthesis
-    /// reuse their trace-value encodings even without an external cache.
+    /// Batched scoring: [`FitnessFunction::score_batch_cached`] against a
+    /// fresh trace memo. Trace-value encodings are reused across calls only
+    /// through the [`crate::FitnessCache`] shard the GA engine passes.
     fn score_batch(&self, candidates: &[Program], spec: &IoSpec) -> Vec<f64> {
-        self.score_batch_cached(candidates, spec, &self.trace_cache)
+        self.score_batch_cached(candidates, spec, &TraceEncodingCache::new())
     }
 
     /// Batched scoring: the specification encoding is served from the
     /// one-slot memo (encoded exactly once per synthesis) and shared
     /// zero-copy with the network; every candidate's traces run through one
-    /// batched forward pass (`FitnessNet::predict_batch_with`, reusing the
+    /// batched forward pass (`FitnessNet::predict_batch`, reusing the
     /// trace-value encodings memoized in `traces` across generations and
     /// runs) and each logit row is converted with the same expected-value
     /// readout as [`FitnessFunction::score`] — scores are bit-identical to
@@ -164,7 +149,7 @@ impl FitnessFunction for LearnedFitness {
         match self
             .model
             .net
-            .predict_batch_with(&spec_encoding, &encoded, traces)
+            .predict_batch(&spec_encoding, &encoded, traces)
         {
             Ok(rows) => rows
                 .iter()

@@ -50,7 +50,8 @@
 //! shared [`SpecEncoding`] and the batch of [`CandidateEncoding`]s to
 //! [`FitnessNet::predict_batch`], which encodes the spec's sequences once,
 //! dedups repeated trace-value token sequences across the batch, and steps
-//! every LSTM stage over all sequences together in flat row-major buffers
+//! every LSTM stage over all sequences together (prefix-sharing trie for
+//! the trace stage, length-sorted time-major layout for the example stage)
 //! before the head classifies the batch with one GEMM.
 //!
 //! Batching is a pure performance optimization: every override returns
@@ -78,11 +79,11 @@
 //! earlier generations — or earlier runs of the same task, when the engine
 //! threads a [`FitnessCache::trace_shard`] through
 //! [`FitnessFunction::score_batch_cached`] — skip their LSTM sweep outright,
-//! bit-identically. [`LearnedFitness`] also owns a private instance memo, so
-//! plain `score_batch` callers get the cross-generation reuse for free;
-//! shards are keyed by [`FitnessFunction::cache_key`] because the cached
-//! states depend on the model's weights (a trainer updating weights must
-//! use a fresh cache).
+//! bit-identically. The shard is the only trace memo: plain `score_batch`
+//! scores against a fresh one, so callers that want cross-call reuse pass
+//! a shard. Shards are keyed by [`FitnessFunction::cache_key`] because the
+//! cached states depend on the model's weights (a trainer updating weights
+//! must use a fresh cache).
 //!
 //! ## The durable cache tier
 //!

@@ -300,10 +300,20 @@ impl FitnessNet {
     /// no IO tokens at all, so there is nothing to deduplicate), the
     /// trace-step encoder processes every *distinct* trace value of every
     /// candidate in one batched call, and the trace and example LSTMs step
-    /// all sequences together over flat row-major buffers (see
-    /// [`Lstm::forward_batch_flat`]). Returns one logit vector per
-    /// candidate, in input order, bit-identical to per-candidate
-    /// [`FitnessNet::predict`] calls.
+    /// all sequences together (the trace LSTM over a prefix-sharing
+    /// [`SequenceTrie`], the example LSTM over a length-sorted
+    /// [`TimeMajorBatch`]). Returns one logit vector per candidate, in input
+    /// order, bit-identical to per-candidate [`FitnessNet::predict`] calls.
+    ///
+    /// Trace values whose step-encoder hidden state an earlier batch already
+    /// computed into `trace_cache` — a previous GA generation, or a previous
+    /// run of the same task sharing the cache — are served from the memo,
+    /// and only the genuinely new values run through the step encoder. The
+    /// step encoder is a batch-independent function of each token sequence
+    /// (the trie-batched LSTM is bit-identical to per-sequence calls), so a
+    /// warm cache returns bit-identical logits; `trace_cache` must be
+    /// reserved to this network's weights (see [`TraceEncodingCache`]).
+    /// Pass a fresh [`TraceEncodingCache::new`] to score without reuse.
     ///
     /// # Errors
     ///
@@ -311,31 +321,8 @@ impl FitnessNet {
     /// outside the configured vocabularies. Unlike the per-candidate path
     /// the whole batch fails, so callers that need per-candidate error
     /// isolation should fall back to [`FitnessNet::predict`] on error.
+    /// Nothing is cached from a failed call.
     pub fn predict_batch(
-        &self,
-        spec: &SpecEncoding,
-        candidates: &[CandidateEncoding],
-    ) -> Result<Vec<Vec<f32>>, NnError> {
-        self.predict_batch_with(spec, candidates, &TraceEncodingCache::new())
-    }
-
-    /// [`FitnessNet::predict_batch`] with a persistent [`TraceEncodingCache`]:
-    /// trace values whose step-encoder hidden state was computed by an
-    /// earlier batch — a previous GA generation, or a previous run of the
-    /// same task sharing the cache — are served from the memo, and only the
-    /// genuinely new values run through the step encoder.
-    ///
-    /// The step encoder is a batch-independent function of each token
-    /// sequence (the trie-batched LSTM is bit-identical to per-sequence
-    /// calls), so a warm cache returns bit-identical logits; `trace_cache`
-    /// must be reserved to this network's weights (see
-    /// [`TraceEncodingCache`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FitnessNet::predict_batch`]. Nothing is cached from a
-    /// failed call.
-    pub fn predict_batch_with(
         &self,
         spec: &SpecEncoding,
         candidates: &[CandidateEncoding],
@@ -425,9 +412,9 @@ impl FitnessNet {
         let trace_hidden = self.trace_lstm.forward_batch_trie(&trace_trie);
 
         // Stage 4: one (io encoding ‖ trace encoding) sequence per
-        // candidate, also flat, combined by the example LSTM over the whole
-        // batch. The io encodings are the shared spec rows — referenced per
-        // candidate, never re-encoded.
+        // candidate, packed time-major and combined by the example LSTM over
+        // the whole batch. The io encodings are the shared spec rows —
+        // referenced per candidate, never re-encoded.
         let example_dim = enc_dim + self.config.trace_hidden_dim;
         let mut example_batch = SequenceBatch::with_capacity(
             example_dim,
@@ -444,7 +431,9 @@ impl FitnessNet {
                 flat_example += 1;
             }
         }
-        let summaries = self.example_lstm.forward_batch_flat(&example_batch);
+        let summaries = self
+            .example_lstm
+            .forward_batch_time_major(&TimeMajorBatch::from_batch(&example_batch));
 
         // Stage 5: classify all summaries with one batched head pass.
         let mut summary_mat = Matrix::zeros(candidates.len(), self.config.example_hidden_dim);
@@ -771,7 +760,9 @@ mod tests {
             .iter()
             .map(|c| encode_candidate(net.encoding(), &spec(), c))
             .collect();
-        let batched = net.predict_batch(&spec_encoding, &encodings).unwrap();
+        let batched = net
+            .predict_batch(&spec_encoding, &encodings, &TraceEncodingCache::new())
+            .unwrap();
         assert_eq!(batched.len(), encodings.len());
         for (candidate, batch_logits) in encodings.iter().zip(batched.iter()) {
             let single = net.predict(&spec_encoding, candidate).unwrap();
@@ -780,7 +771,10 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }
-        assert!(net.predict_batch(&spec_encoding, &[]).unwrap().is_empty());
+        assert!(net
+            .predict_batch(&spec_encoding, &[], &TraceEncodingCache::new())
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -798,14 +792,14 @@ mod tests {
             .collect();
         let cache = TraceEncodingCache::new();
         let cold = net
-            .predict_batch_with(&spec_encoding, &encodings, &cache)
+            .predict_batch(&spec_encoding, &encodings, &cache)
             .unwrap();
         let cold_encodes = cache.encode_count();
         assert!(cold_encodes > 0, "the cold batch encodes its trace values");
         assert_eq!(cache.len(), cold_encodes);
         // The warm pass re-encodes nothing and returns the same bits.
         let warm = net
-            .predict_batch_with(&spec_encoding, &encodings, &cache)
+            .predict_batch(&spec_encoding, &encodings, &cache)
             .unwrap();
         assert_eq!(cache.encode_count(), cold_encodes);
         for (a_row, b_row) in cold.iter().zip(warm.iter()) {
@@ -820,11 +814,11 @@ mod tests {
             .iter()
             .map(|c| encode_candidate(net.encoding(), &spec(), c))
             .collect();
-        let mixed_out = net
-            .predict_batch_with(&spec_encoding, &mixed, &cache)
-            .unwrap();
+        let mixed_out = net.predict_batch(&spec_encoding, &mixed, &cache).unwrap();
         assert!(cache.encode_count() > cold_encodes);
-        let uncached = net.predict_batch(&spec_encoding, &mixed).unwrap();
+        let uncached = net
+            .predict_batch(&spec_encoding, &mixed, &TraceEncodingCache::new())
+            .unwrap();
         for (a_row, b_row) in mixed_out.iter().zip(uncached.iter()) {
             for (a, b) in a_row.iter().zip(b_row.iter()) {
                 assert_eq!(a.to_bits(), b.to_bits());
@@ -841,7 +835,11 @@ mod tests {
         let with_trace = encode_candidate(net.encoding(), &spec(), &target());
         let spec_only = CandidateEncoding::spec_only();
         let batched = net
-            .predict_batch(&spec_encoding, &[spec_only.clone(), with_trace.clone()])
+            .predict_batch(
+                &spec_encoding,
+                &[spec_only.clone(), with_trace.clone()],
+                &TraceEncodingCache::new(),
+            )
             .unwrap();
         for (candidate, batch_logits) in [spec_only, with_trace].iter().zip(batched.iter()) {
             let single = net.predict(&spec_encoding, candidate).unwrap();

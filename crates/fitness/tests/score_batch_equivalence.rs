@@ -180,7 +180,7 @@ fn default_impl_fitness_functions_also_match() {
 #[test]
 fn split_encoding_predict_batch_is_bit_identical() {
     use netsyn_fitness::encoding::{encode_candidate, encode_candidates, encode_spec};
-    use netsyn_fitness::CandidateEncoding;
+    use netsyn_fitness::{CandidateEncoding, TraceEncodingCache};
 
     let mut r = rng(700);
     let samples = generate_dataset(
@@ -209,7 +209,9 @@ fn split_encoding_predict_batch_is_bit_identical() {
     }
     // ...and a trace-less (FP-style) entry may ride along in the same batch.
     encodings.push(CandidateEncoding::spec_only());
-    let batched = net.predict_batch(&spec_encoding, &encodings).unwrap();
+    let batched = net
+        .predict_batch(&spec_encoding, &encodings, &TraceEncodingCache::new())
+        .unwrap();
     assert_eq!(batched.len(), encodings.len());
     for (encoding, batch_logits) in encodings.iter().zip(batched.iter()) {
         let single = net.predict(&spec_encoding, encoding).unwrap();

@@ -36,11 +36,10 @@
 //! * [`TimeMajorBatch`] — a length-sorted, *time-major* repacking of a
 //!   [`SequenceBatch`]: all rows of time step `t` are one contiguous slab,
 //!   and because sequences are ordered longest-first the still-active batch
-//!   is always a contiguous prefix of it. [`Lstm::forward_batch_flat`] (and
-//!   the nested-`Vec` convenience wrapper [`Lstm::forward_batch`]) feed
-//!   each step's slab straight into the blocked matmul — every time step
-//!   computes all four gates for the active prefix with two gather-free
-//!   matrix products;
+//!   is always a contiguous prefix of it.
+//!   [`Lstm::forward_batch_time_major`] feeds each step's slab straight
+//!   into the blocked matmul — every time step computes all four gates for
+//!   the active prefix with two gather-free matrix products;
 //! * [`SequenceTrie`] and [`Lstm::forward_batch_trie`] — prefix-sharing
 //!   batched inference: an LSTM state depends only on the consumed prefix,
 //!   so sequences sharing a prefix (interned trace values in a GA

@@ -9,7 +9,7 @@
 //! accumulating parameter gradients and returning per-step input gradients.
 
 use crate::activation::{sigmoid, tanh};
-use crate::batch::{SequenceBatch, SequenceTrie, TimeMajorBatch};
+use crate::batch::{SequenceTrie, TimeMajorBatch};
 use crate::param::{Param, Parameterized};
 use crate::simd;
 use crate::tensor::{vecops, Matrix};
@@ -191,46 +191,6 @@ impl Lstm {
             cache.steps.push(step);
         }
         (h, cache)
-    }
-
-    /// Batched inference over many sequences at once: returns the final
-    /// hidden state of every sequence, in input order. No cache is kept, so
-    /// this is inference-only.
-    ///
-    /// This is a convenience wrapper that copies the nested sequences into
-    /// one flat [`SequenceBatch`] and calls [`Lstm::forward_batch_flat`];
-    /// hot paths (the fitness network's batched stages) build the
-    /// [`SequenceBatch`] directly and skip the copy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any input vector does not have dimension `input_dim`.
-    #[must_use]
-    pub fn forward_batch(&self, sequences: &[Vec<Vec<f32>>]) -> Vec<Vec<f32>> {
-        let rows: usize = sequences.iter().map(Vec::len).sum();
-        let mut batch = SequenceBatch::with_capacity(self.input_dim, rows, sequences.len());
-        for sequence in sequences {
-            batch.begin_sequence();
-            for x in sequence {
-                assert_eq!(x.len(), self.input_dim, "lstm input dimension mismatch");
-                batch.push_row().copy_from_slice(x);
-            }
-        }
-        self.forward_batch_flat(&batch)
-    }
-
-    /// Batched inference over a flat [`SequenceBatch`] — the allocation-lean
-    /// core of [`Lstm::forward_batch`]. Repacks the batch into the
-    /// length-sorted time-major layout once and runs the gather-free
-    /// [`Lstm::forward_batch_time_major`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch's row dimension is not `input_dim` (empty batches
-    /// are accepted regardless of their dimension).
-    #[must_use]
-    pub fn forward_batch_flat(&self, batch: &SequenceBatch) -> Vec<Vec<f32>> {
-        self.forward_batch_time_major(&TimeMajorBatch::from_batch(batch))
     }
 
     /// Batched inference over a pre-packed [`TimeMajorBatch`].
@@ -764,6 +724,7 @@ impl Parameterized for Lstm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::SequenceBatch;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -844,7 +805,7 @@ mod tests {
             sample_sequence(4, 3),
             sample_sequence(2, 3),
         ];
-        let batched = lstm.forward_batch(&sequences);
+        let batched = lstm.forward_batch_time_major(&time_major(&sequences, 3));
         assert_eq!(batched.len(), sequences.len());
         for (seq, batch_h) in sequences.iter().zip(batched.iter()) {
             let (single_h, _) = lstm.forward(seq);
@@ -908,10 +869,12 @@ mod tests {
     #[test]
     fn batched_forward_handles_degenerate_batches() {
         let lstm = Lstm::new(2, 3, &mut rng());
-        assert!(lstm.forward_batch(&[]).is_empty());
-        let all_empty = lstm.forward_batch(&[Vec::new(), Vec::new()]);
+        assert!(lstm
+            .forward_batch_time_major(&time_major(&[], 2))
+            .is_empty());
+        let all_empty = lstm.forward_batch_time_major(&time_major(&[Vec::new(), Vec::new()], 2));
         assert_eq!(all_empty, vec![vec![0.0; 3], vec![0.0; 3]]);
-        let one = lstm.forward_batch(&[sample_sequence(5, 2)]);
+        let one = lstm.forward_batch_time_major(&time_major(&[sample_sequence(5, 2)], 2));
         let (single, _) = lstm.forward(&sample_sequence(5, 2));
         assert_eq!(one[0], single);
     }

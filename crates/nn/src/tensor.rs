@@ -10,11 +10,30 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense, row-major matrix of `f32` values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
+}
+
+/// Loads the derived field layout, rejecting a shape that disagrees with
+/// the data length: a checkpoint is untrusted input, and a malformed matrix
+/// must fail at load instead of panicking inside a later product.
+impl Deserialize for Matrix {
+    fn from_content(content: &serde::Content) -> Result<Self, serde::DeError> {
+        let map = serde::expect_map(content, "Matrix")?;
+        let rows = usize::from_content(serde::field(map, "rows", "Matrix")?)?;
+        let cols = usize::from_content(serde::field(map, "cols", "Matrix")?)?;
+        let data = Vec::<f32>::from_content(serde::field(map, "data", "Matrix")?)?;
+        if rows.checked_mul(cols) != Some(data.len()) {
+            return Err(serde::DeError::new(format!(
+                "Matrix shape {rows}x{cols} does not match {} data values",
+                data.len()
+            )));
+        }
+        Ok(Matrix { rows, cols, data })
+    }
 }
 
 impl Matrix {
@@ -825,6 +844,21 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    #[test]
+    fn deserialize_rejects_a_shape_that_disagrees_with_the_data() {
+        let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
+        let json = serde_json::to_string(&m).unwrap();
+        assert_eq!(serde_json::from_str::<Matrix>(&json).unwrap(), m);
+        for bad in [
+            r#"{"rows":2,"cols":2,"data":[1.0]}"#,
+            r#"{"rows":1,"cols":1,"data":[1.0,2.0]}"#,
+            r#"{"rows":18446744073709551615,"cols":2,"data":[]}"#,
+        ] {
+            assert!(serde_json::from_str::<Matrix>(bad).is_err(), "{bad}");
+        }
+        assert!(serde_json::from_str::<Matrix>(r#"{"rows":0,"cols":5,"data":[]}"#).is_ok());
+    }
 
     #[test]
     fn construction_and_indexing() {
