@@ -77,10 +77,42 @@ enum Slot {
 
 #[derive(Debug, Default)]
 struct Stripe {
-    slots: Mutex<HashMap<Program, Slot>>,
+    slots: Mutex<StripeSlots>,
     /// Signalled whenever a score is published into — or an in-flight claim
     /// is abandoned from — this stripe.
     published: Condvar,
+}
+
+/// One stripe's entries, plus — in a recording shard — the entries
+/// published since the durable tier last drained them.
+#[derive(Debug, Default)]
+struct StripeSlots {
+    map: HashMap<Program, Slot>,
+    pending: Vec<(Program, f64)>,
+}
+
+impl StripeSlots {
+    /// Publishes `score` for `program` unless a score is already published
+    /// (first write wins), recording the new entry when `record` is set.
+    /// Returns whether the program was in flight, i.e. whether waiters need
+    /// waking.
+    fn publish(&mut self, program: &Program, score: f64, record: bool) -> bool {
+        let was_in_flight = match self.map.get_mut(program) {
+            Some(Slot::Done(_)) => return false,
+            Some(slot) => {
+                *slot = Slot::Done(score);
+                true
+            }
+            None => {
+                self.map.insert(program.clone(), Slot::Done(score));
+                false
+            }
+        };
+        if record {
+            self.pending.push((program.clone(), score));
+        }
+        was_in_flight
+    }
 }
 
 /// The result of claiming a program for scoring.
@@ -100,12 +132,17 @@ pub enum Claim {
 #[derive(Debug)]
 pub struct SpecScores {
     stripes: Vec<Stripe>,
+    /// Whether each newly published entry is also recorded on its stripe's
+    /// pending list for the durable tier's next flush. Only shards of a
+    /// durable [`FitnessCache`] record.
+    records: bool,
 }
 
 impl Default for SpecScores {
     fn default() -> Self {
         SpecScores {
             stripes: (0..STRIPE_COUNT).map(|_| Stripe::default()).collect(),
+            records: false,
         }
     }
 }
@@ -117,6 +154,15 @@ fn stripe_index(program: &Program) -> usize {
 }
 
 impl SpecScores {
+    /// An empty shard that records every entry it newly publishes, for a
+    /// durable cache's flushes ([`SpecScores::drain_pending`]).
+    pub(crate) fn recording() -> Self {
+        SpecScores {
+            records: true,
+            ..SpecScores::default()
+        }
+    }
+
     fn stripe(&self, program: &Program) -> &Stripe {
         &self.stripes[stripe_index(program)]
     }
@@ -124,7 +170,10 @@ impl SpecScores {
     /// The cached score of `candidate`, if published.
     #[must_use]
     pub fn get(&self, candidate: &Program) -> Option<f64> {
-        match lock_recovering(&self.stripe(candidate).slots).get(candidate) {
+        match lock_recovering(&self.stripe(candidate).slots)
+            .map
+            .get(candidate)
+        {
             Some(Slot::Done(score)) => Some(*score),
             _ => None,
         }
@@ -135,16 +184,19 @@ impl SpecScores {
     /// `candidate` is woken).
     pub fn insert(&self, candidate: Program, score: f64) {
         let stripe = self.stripe(&candidate);
-        let mut slots = lock_recovering(&stripe.slots);
-        match slots.get(&candidate) {
-            Some(Slot::Done(_)) => {}
-            Some(Slot::InFlight) => {
-                slots.insert(candidate, Slot::Done(score));
-                stripe.published.notify_all();
-            }
-            None => {
-                slots.insert(candidate, Slot::Done(score));
-            }
+        if lock_recovering(&stripe.slots).publish(&candidate, score, self.records) {
+            stripe.published.notify_all();
+        }
+    }
+
+    /// Inserts entries read back from disk: first write wins, and nothing
+    /// is recorded, since the entries are already persisted.
+    pub(crate) fn load(&self, entries: Vec<(Program, f64)>) {
+        for (program, score) in entries {
+            lock_recovering(&self.stripe(&program).slots)
+                .map
+                .entry(program)
+                .or_insert(Slot::Done(score));
         }
     }
 
@@ -153,7 +205,7 @@ impl SpecScores {
     pub fn get_many(&self, programs: &[Program]) -> Vec<Option<f64>> {
         let mut out = vec![None; programs.len()];
         self.for_each_stripe(Notify::Nobody, programs, |slots, index| {
-            if let Some(Slot::Done(score)) = slots.get(&programs[index]) {
+            if let Some(Slot::Done(score)) = slots.map.get(&programs[index]) {
                 out[index] = Some(*score);
             }
         });
@@ -169,11 +221,11 @@ impl SpecScores {
     pub fn claim_many(&self, programs: &[Program]) -> Vec<Claim> {
         let mut out = vec![Claim::Pending; programs.len()];
         self.for_each_stripe(Notify::Nobody, programs, |slots, index| {
-            out[index] = match slots.get(&programs[index]) {
+            out[index] = match slots.map.get(&programs[index]) {
                 Some(Slot::Done(score)) => Claim::Hit(*score),
                 Some(Slot::InFlight) => Claim::Pending,
                 None => {
-                    slots.insert(programs[index].clone(), Slot::InFlight);
+                    slots.map.insert(programs[index].clone(), Slot::InFlight);
                     Claim::Claimed
                 }
             };
@@ -185,11 +237,11 @@ impl SpecScores {
     #[must_use]
     pub fn claim(&self, program: &Program) -> Claim {
         let mut slots = lock_recovering(&self.stripe(program).slots);
-        match slots.get(program) {
+        match slots.map.get(program) {
             Some(Slot::Done(score)) => Claim::Hit(*score),
             Some(Slot::InFlight) => Claim::Pending,
             None => {
-                slots.insert(program.clone(), Slot::InFlight);
+                slots.map.insert(program.clone(), Slot::InFlight);
                 Claim::Claimed
             }
         }
@@ -218,16 +270,10 @@ impl SpecScores {
             "publish_many requires one score per claimed program"
         );
         self.for_each_stripe(Notify::Waiters, programs, |slots, index| {
-            // The common case is flipping this thread's own InFlight claim:
-            // update the slot in place (no key clone). First write wins —
-            // never replace a published score.
-            if let Some(slot) = slots.get_mut(&programs[index]) {
-                if matches!(slot, Slot::InFlight) {
-                    *slot = Slot::Done(scores[index]);
-                }
-            } else {
-                slots.insert(programs[index].clone(), Slot::Done(scores[index]));
-            }
+            // The common case is flipping this thread's own InFlight claim
+            // in place (no key clone). First write wins — never replace a
+            // published score.
+            slots.publish(&programs[index], scores[index], self.records);
         });
     }
 
@@ -236,8 +282,8 @@ impl SpecScores {
     /// [`ClaimGuard`]). Published entries are left untouched.
     pub fn abandon_many(&self, programs: &[Program]) {
         self.for_each_stripe(Notify::Waiters, programs, |slots, index| {
-            if let Some(Slot::InFlight) = slots.get(&programs[index]) {
-                slots.remove(&programs[index]);
+            if let Some(Slot::InFlight) = slots.map.get(&programs[index]) {
+                slots.map.remove(&programs[index]);
             }
         });
     }
@@ -250,7 +296,7 @@ impl SpecScores {
         let stripe = self.stripe(program);
         let mut slots = lock_recovering(&stripe.slots);
         loop {
-            match slots.get(program) {
+            match slots.map.get(program) {
                 Some(Slot::Done(score)) => return Some(*score),
                 Some(Slot::InFlight) => {
                     slots = wait_recovering(&stripe.published, slots);
@@ -267,6 +313,7 @@ impl SpecScores {
             .iter()
             .map(|stripe| {
                 lock_recovering(&stripe.slots)
+                    .map
                     .values()
                     .filter(|slot| matches!(slot, Slot::Done(_)))
                     .count()
@@ -282,17 +329,29 @@ impl SpecScores {
 
     /// Every published `(program, score)` entry, in a deterministic order
     /// (sorted by the program's function ids) — the snapshot the durable
-    /// tier flushes. In-flight claims are not included.
+    /// tier compacts to. In-flight claims are not included.
     #[must_use]
     pub fn export(&self) -> Vec<(Program, f64)> {
         let mut out = Vec::new();
         for stripe in &self.stripes {
             let slots = lock_recovering(&stripe.slots);
-            for (program, slot) in slots.iter() {
+            for (program, slot) in slots.map.iter() {
                 if let Slot::Done(score) = slot {
                     out.push((program.clone(), *score));
                 }
             }
+        }
+        out.sort_by_cached_key(|(program, _)| program.ids());
+        out
+    }
+
+    /// Takes every entry published since the last drain, sorted as
+    /// [`SpecScores::export`] sorts — what the durable tier's next flush
+    /// appends. Always empty for a shard that does not record.
+    pub(crate) fn drain_pending(&self) -> Vec<(Program, f64)> {
+        let mut out = Vec::new();
+        for stripe in &self.stripes {
+            out.append(&mut lock_recovering(&stripe.slots).pending);
         }
         out.sort_by_cached_key(|(program, _)| program.ids());
         out
@@ -306,7 +365,7 @@ impl SpecScores {
         &self,
         notify: Notify,
         programs: &[Program],
-        mut body: impl FnMut(&mut HashMap<Program, Slot>, usize),
+        mut body: impl FnMut(&mut StripeSlots, usize),
     ) {
         let mut by_stripe: Vec<Vec<usize>> = vec![Vec::new(); STRIPE_COUNT];
         for (index, program) in programs.iter().enumerate() {
@@ -507,6 +566,9 @@ pub struct FitnessCache {
     /// The durable tier, present only on caches opened with
     /// [`FitnessCache::durable`]. Plain in-memory caches pay nothing.
     store: OnceLock<Arc<DurableStore>>,
+    /// Whether new shards record what they publish for the durable tier's
+    /// flushes. Set on durable caches only, before the directory loads.
+    records: bool,
 }
 
 impl FitnessCache {
@@ -542,7 +604,12 @@ impl FitnessCache {
         dir: impl AsRef<Path>,
         options: DurableOptions,
     ) -> std::io::Result<FitnessCache> {
-        let cache = FitnessCache::new();
+        let cache = FitnessCache {
+            shards: RwLock::default(),
+            traces: RwLock::default(),
+            store: OnceLock::new(),
+            records: true,
+        };
         let store = DurableStore::open(dir.as_ref(), options, &cache)?;
         let _ = cache.store.set(store);
         Ok(cache)
@@ -561,8 +628,8 @@ impl FitnessCache {
         self.store.get().map(|store| store.report())
     }
 
-    /// Synchronously flush every not-yet-persisted entry to disk
-    /// (append + fsync). Returns what was appended; `None` for in-memory
+    /// Synchronously flush every entry published since the last flush to
+    /// disk (append + fsync). Returns what was appended; `None` for in-memory
     /// caches. I/O failure degrades the store to memory-only with a
     /// warning — it never panics and never corrupts the log.
     pub fn flush(&self) -> Option<FlushStats> {
@@ -588,7 +655,9 @@ impl FitnessCache {
 
     /// Rewrites the backing logs from the full in-memory content (atomic
     /// replace), dropping any accumulated append-only redundancy and
-    /// clearing a broken-store condition. `None` for in-memory caches.
+    /// clearing a broken-store condition. A failed rewrite leaves the
+    /// store broken (memory-only) until a later compaction succeeds.
+    /// `None` for in-memory caches.
     pub fn compact(&self) -> Option<std::io::Result<()>> {
         let store = self.store.get()?;
         store.join_flusher();
@@ -643,7 +712,11 @@ impl FitnessCache {
         if let Some(shard) = shards.get(fitness_key).and_then(|specs| specs.get(spec)) {
             return Arc::clone(shard);
         }
-        let shard = Arc::new(SpecScores::default());
+        let shard = Arc::new(if self.records {
+            SpecScores::recording()
+        } else {
+            SpecScores::default()
+        });
         shards
             .entry(fitness_key.to_string())
             .or_default()
@@ -673,7 +746,11 @@ impl FitnessCache {
         if let Some(shard) = traces.get(fitness_key) {
             return Arc::clone(shard);
         }
-        let shard = Arc::new(TraceEncodingCache::new());
+        let shard = Arc::new(if self.records {
+            TraceEncodingCache::recording()
+        } else {
+            TraceEncodingCache::new()
+        });
         traces.insert(fitness_key.to_string(), Arc::clone(&shard));
         shard
     }
@@ -1002,5 +1079,105 @@ mod tests {
             );
         }
         assert_eq!(scores.len(), programs.len());
+    }
+
+    /// Writers publish overlapping programs — by `insert` and through the
+    /// claim protocol — while another thread drains repeatedly: every
+    /// program lands in exactly one drained batch, with its published
+    /// score, and each batch is sorted as `export` sorts.
+    #[test]
+    fn concurrent_drains_take_every_published_entry_exactly_once() {
+        const WRITERS: usize = 4;
+        let programs: Vec<Program> = Function::ALL
+            .iter()
+            .flat_map(|&a| {
+                Function::ALL[..8]
+                    .iter()
+                    .map(move |&b| Program::new(vec![a, b]))
+            })
+            .collect();
+        let score_of = |program: &Program| program.ids().iter().map(|&id| f64::from(id)).sum();
+        let scores = SpecScores::recording();
+        let writing = std::sync::atomic::AtomicBool::new(true);
+        let mut batches = std::thread::scope(|scope| {
+            let drainer = scope.spawn(|| {
+                let mut batches = Vec::new();
+                while writing.load(Ordering::SeqCst) {
+                    batches.push(scores.drain_pending());
+                    std::thread::yield_now();
+                }
+                batches
+            });
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|writer| {
+                    let (programs, scores) = (&programs, &scores);
+                    scope.spawn(move || {
+                        let offset = writer * programs.len() / WRITERS;
+                        let mine: Vec<Program> = programs[offset..]
+                            .iter()
+                            .chain(&programs[..offset])
+                            .cloned()
+                            .collect();
+                        for chunk in mine.chunks(7) {
+                            if writer % 2 == 0 {
+                                for program in chunk {
+                                    scores.insert(program.clone(), score_of(program));
+                                }
+                            } else {
+                                let _ = resolve_batch(scores, chunk, |batch| {
+                                    batch.iter().map(score_of).collect()
+                                });
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for writer in writers {
+                writer.join().expect("writer thread");
+            }
+            writing.store(false, Ordering::SeqCst);
+            drainer.join().expect("drainer thread")
+        });
+        batches.push(scores.drain_pending());
+        assert!(
+            scores.drain_pending().is_empty(),
+            "a drain empties the lists"
+        );
+
+        let mut seen: HashMap<Program, usize> = HashMap::new();
+        for batch in &batches {
+            assert!(batch.windows(2).all(|w| w[0].0.ids() < w[1].0.ids()));
+            for (program, score) in batch {
+                assert_eq!(score.to_bits(), score_of(program).to_bits());
+                *seen.entry(program.clone()).or_default() += 1;
+            }
+        }
+        assert_eq!(seen.len(), programs.len(), "no published entry is missed");
+        assert!(
+            seen.values().all(|&count| count == 1),
+            "no entry is drained twice"
+        );
+    }
+
+    #[test]
+    fn only_recording_shards_keep_pending_entries() {
+        let program = Program::new(vec![Function::Sort]);
+        let plain = SpecScores::default();
+        plain.insert(program.clone(), 1.0);
+        assert!(plain.drain_pending().is_empty());
+
+        let recording = SpecScores::recording();
+        recording.load(vec![(program.clone(), 1.0)]);
+        assert!(
+            recording.drain_pending().is_empty(),
+            "loads are not recorded"
+        );
+        recording.insert(program.clone(), 2.0);
+        assert!(recording.drain_pending().is_empty(), "first write wins");
+        assert_eq!(recording.get(&program), Some(1.0));
+
+        let cache = FitnessCache::new();
+        cache.shard("nn-CF", &spec(1)).insert(program, 0.5);
+        assert!(cache.shard("nn-CF", &spec(1)).drain_pending().is_empty());
     }
 }

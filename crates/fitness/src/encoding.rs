@@ -33,6 +33,7 @@ use crate::sync::Mutex;
 use netsyn_dsl::{DomainId, IoExample, IoSpec, Program, TraceArena, Value};
 use netsyn_nn::FxHashMap;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -429,8 +430,12 @@ impl Deserialize for SpecEncodingCache {
 /// encoders waste at most one redundant forward, they never disagree.
 #[derive(Debug)]
 pub struct TraceEncodingCache {
-    stripes: Vec<Mutex<TraceSlots>>,
+    stripes: Vec<Mutex<TraceStripe>>,
     encodes: AtomicUsize,
+    /// Whether each newly published entry is also recorded on its stripe's
+    /// pending list for the durable tier's next flush. Only shards of a
+    /// durable [`crate::FitnessCache`] record.
+    records: bool,
 }
 
 /// Number of independently locked stripes (a power of two, so the stripe
@@ -438,16 +443,23 @@ pub struct TraceEncodingCache {
 const TRACE_STRIPES: usize = 16;
 
 /// One stripe's storage: trace-value token sequence → step-encoder final
-/// hidden state (shared zero-copy with every batch that reads it).
-pub(crate) type TraceSlots = FxHashMap<Box<[usize]>, Arc<[f32]>>;
+/// hidden state (shared zero-copy with every batch that reads it), plus —
+/// in a recording cache — the entries published since the durable tier
+/// last drained them.
+#[derive(Debug, Default)]
+struct TraceStripe {
+    slots: FxHashMap<Box<[usize]>, Arc<[f32]>>,
+    pending: Vec<TraceEntry>,
+}
 
 impl Default for TraceEncodingCache {
     fn default() -> Self {
         TraceEncodingCache {
             stripes: (0..TRACE_STRIPES)
-                .map(|_| Mutex::new(TraceSlots::default()))
+                .map(|_| Mutex::new(TraceStripe::default()))
                 .collect(),
             encodes: AtomicUsize::new(0),
+            records: false,
         }
     }
 }
@@ -457,6 +469,15 @@ impl TraceEncodingCache {
     #[must_use]
     pub fn new() -> Self {
         TraceEncodingCache::default()
+    }
+
+    /// An empty cache that records every entry it newly publishes, for a
+    /// durable cache's flushes ([`TraceEncodingCache::drain_pending`]).
+    pub(crate) fn recording() -> Self {
+        TraceEncodingCache {
+            records: true,
+            ..TraceEncodingCache::default()
+        }
     }
 
     fn stripe_of(tokens: &[usize]) -> usize {
@@ -471,7 +492,7 @@ impl TraceEncodingCache {
     pub fn len(&self) -> usize {
         self.stripes
             .iter()
-            .map(|stripe| lock_recovering(stripe).len())
+            .map(|stripe| lock_recovering(stripe).slots.len())
             .sum()
     }
 
@@ -504,9 +525,9 @@ impl TraceEncodingCache {
             if indices.is_empty() {
                 continue;
             }
-            let slots = lock_recovering(stripe);
+            let stripe = lock_recovering(stripe);
             for index in indices {
-                out[index] = slots.get(keys[index]).map(Arc::clone);
+                out[index] = stripe.slots.get(keys[index]).map(Arc::clone);
             }
         }
         out
@@ -529,13 +550,19 @@ impl TraceEncodingCache {
             if indices.is_empty() {
                 continue;
             }
-            let mut slots = lock_recovering(stripe);
+            let mut stripe = lock_recovering(stripe);
+            let TraceStripe { slots, pending } = &mut *stripe;
             for index in indices {
                 let (key, hidden) = &entries[index];
-                let canonical = slots
-                    .entry((*key).into())
-                    .or_insert_with(|| Arc::clone(hidden));
-                out[index] = Some(Arc::clone(canonical));
+                out[index] = Some(match slots.entry((*key).into()) {
+                    Entry::Occupied(stored) => Arc::clone(stored.get()),
+                    Entry::Vacant(slot) => {
+                        if self.records {
+                            pending.push((slot.key().clone(), Arc::clone(hidden)));
+                        }
+                        Arc::clone(slot.insert(Arc::clone(hidden)))
+                    }
+                });
             }
         }
         out.into_iter()
@@ -555,19 +582,44 @@ pub(crate) type TraceEntry = (Box<[usize]>, Arc<[f32]>);
 
 impl TraceEncodingCache {
     /// Every cached `(tokens, hidden state)` entry, in a deterministic
-    /// order — the snapshot the durable tier flushes.
+    /// order — the snapshot the durable tier compacts to.
     pub(crate) fn export(&self) -> Vec<TraceEntry> {
         let mut out = Vec::new();
         for stripe in &self.stripes {
-            let slots = lock_recovering(stripe);
+            let stripe = lock_recovering(stripe);
             out.extend(
-                slots
+                stripe
+                    .slots
                     .iter()
                     .map(|(tokens, hidden)| (tokens.clone(), Arc::clone(hidden))),
             );
         }
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
+    }
+
+    /// Takes every entry published since the last drain, sorted as
+    /// [`TraceEncodingCache::export`] sorts — what the durable tier's next
+    /// flush appends. Always empty for a cache that does not record.
+    pub(crate) fn drain_pending(&self) -> Vec<TraceEntry> {
+        let mut out = Vec::new();
+        for stripe in &self.stripes {
+            out.append(&mut lock_recovering(stripe).pending);
+        }
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out
+    }
+
+    /// Inserts entries read back from disk: first write wins, nothing is
+    /// recorded (the entries are already persisted), and the encode counter
+    /// is not bumped (loaded entries are hits, not misses).
+    pub(crate) fn load(&self, entries: Vec<TraceEntry>) {
+        for (tokens, hidden) in entries {
+            lock_recovering(&self.stripes[Self::stripe_of(&tokens)])
+                .slots
+                .entry(tokens)
+                .or_insert(hidden);
+        }
     }
 }
 
@@ -925,5 +977,93 @@ mod tests {
         );
         assert!(steps.iter().all(|s| s.function < c.function_vocab_size()));
         assert!(steps.iter().all(|s| !s.value_tokens.is_empty()));
+    }
+
+    /// Writers publish overlapping token sequences while another thread
+    /// drains repeatedly: every key lands in exactly one drained batch,
+    /// carrying the canonical (first-published) hidden state.
+    #[test]
+    fn concurrent_drains_take_every_published_encoding_exactly_once() {
+        const WRITERS: usize = 4;
+        const KEYS: usize = 400;
+        let keys: Vec<Vec<usize>> = (0..KEYS).map(|i| vec![i % 17, i, i / 3]).collect();
+        let cache = TraceEncodingCache::recording();
+        let writing = std::sync::atomic::AtomicBool::new(true);
+        let mut batches = std::thread::scope(|scope| {
+            let drainer = scope.spawn(|| {
+                let mut batches = Vec::new();
+                while writing.load(Ordering::SeqCst) {
+                    batches.push(cache.drain_pending());
+                    std::thread::yield_now();
+                }
+                batches
+            });
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|writer| {
+                    let (keys, cache) = (&keys, &cache);
+                    scope.spawn(move || {
+                        let offset = writer * KEYS / WRITERS;
+                        let order: Vec<usize> = (offset..KEYS).chain(0..offset).collect();
+                        for chunk in order.chunks(9) {
+                            let _ = cache.publish_many(
+                                chunk
+                                    .iter()
+                                    .map(|&i| (&keys[i][..], vec![i as f32, writer as f32].into()))
+                                    .collect(),
+                            );
+                        }
+                    })
+                })
+                .collect();
+            for writer in writers {
+                writer.join().expect("writer thread");
+            }
+            writing.store(false, Ordering::SeqCst);
+            drainer.join().expect("drainer thread")
+        });
+        batches.push(cache.drain_pending());
+        assert!(
+            cache.drain_pending().is_empty(),
+            "a drain empties the lists"
+        );
+
+        let mut seen: HashMap<Box<[usize]>, usize> = HashMap::new();
+        for batch in &batches {
+            assert!(batch.windows(2).all(|w| w[0].0 < w[1].0));
+            for (tokens, hidden) in batch {
+                let stored = cache.get_many(&[&tokens[..]]).remove(0).expect("cached");
+                assert!(
+                    Arc::ptr_eq(hidden, &stored),
+                    "the canonical state is drained"
+                );
+                *seen.entry(tokens.clone()).or_default() += 1;
+            }
+        }
+        assert_eq!(seen.len(), KEYS, "no published encoding is missed");
+        assert!(
+            seen.values().all(|&count| count == 1),
+            "no encoding is drained twice"
+        );
+    }
+
+    #[test]
+    fn only_recording_trace_caches_keep_pending_entries() {
+        let tokens: Vec<usize> = vec![3, 1];
+        let plain = TraceEncodingCache::new();
+        let _ = plain.publish_many(vec![(&tokens[..], vec![1.0f32].into())]);
+        assert!(plain.drain_pending().is_empty());
+
+        let recording = TraceEncodingCache::recording();
+        recording.load(vec![(tokens.clone().into(), vec![1.0f32].into())]);
+        assert!(
+            recording.drain_pending().is_empty(),
+            "loads are not recorded"
+        );
+        assert_eq!(recording.encode_count(), 0, "loads are not encodes");
+        let _ = recording.publish_many(vec![(&tokens[..], vec![2.0f32].into())]);
+        assert!(recording.drain_pending().is_empty(), "first write wins");
+        let fresh: Vec<usize> = vec![4];
+        let _ = recording.publish_many(vec![(&fresh[..], vec![2.0f32].into())]);
+        assert_eq!(recording.drain_pending().len(), 1);
     }
 }

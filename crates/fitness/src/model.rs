@@ -314,6 +314,9 @@ impl FitnessNet {
     /// warm cache returns bit-identical logits; `trace_cache` must be
     /// reserved to this network's weights (see [`TraceEncodingCache`]).
     /// Pass a fresh [`TraceEncodingCache::new`] to score without reuse.
+    /// A cached state whose length is not `encoder_hidden_dim` (a damaged
+    /// or foreign cache directory) is treated as a miss: the value is
+    /// encoded afresh and the stored entry is left in place.
     ///
     /// # Errors
     ///
@@ -358,25 +361,41 @@ impl FitnessNet {
         // misses — outside any lock — then publish the fresh hidden states
         // for future batches. Publication is first-write-wins, so if a
         // concurrent batch encoded the same value we consume the canonical
-        // stored buffer (bit-identical either way).
+        // stored buffer (bit-identical either way). A stored state of the
+        // wrong length can only come from a damaged or foreign cache
+        // directory: it counts as a miss and is never served.
+        let enc_dim = self.config.encoder_hidden_dim;
         let mut step_hidden: Vec<Option<Arc<[f32]>>> = trace_cache.get_many(&step_unique);
         let missing: Vec<usize> = step_hidden
             .iter()
             .enumerate()
-            .filter_map(|(index, slot)| slot.is_none().then_some(index))
+            .filter_map(|(index, slot)| {
+                slot.as_ref()
+                    .is_none_or(|hidden| hidden.len() != enc_dim)
+                    .then_some(index)
+            })
             .collect();
         if !missing.is_empty() {
             let miss_tokens: Vec<&[usize]> = missing.iter().map(|&i| step_unique[i]).collect();
-            let computed = self.step_encoder.forward_batch(&miss_tokens)?;
+            let computed: Vec<Arc<[f32]>> = self
+                .step_encoder
+                .forward_batch(&miss_tokens)?
+                .into_iter()
+                .map(Arc::from)
+                .collect();
             trace_cache.record_encodes(missing.len());
-            let entries: Vec<(&[usize], Arc<[f32]>)> = missing
+            let entries: Vec<(&[usize], Arc<[f32]>)> = miss_tokens
                 .iter()
-                .zip(computed)
-                .map(|(&index, hidden)| (step_unique[index], Arc::<[f32]>::from(hidden)))
+                .zip(&computed)
+                .map(|(&tokens, hidden)| (tokens, Arc::clone(hidden)))
                 .collect();
             let canonical = trace_cache.publish_many(entries);
-            for (&index, hidden) in missing.iter().zip(canonical) {
-                step_hidden[index] = Some(hidden);
+            for ((&index, fresh), stored) in missing.iter().zip(computed).zip(canonical) {
+                step_hidden[index] = Some(if stored.len() == enc_dim {
+                    stored
+                } else {
+                    fresh
+                });
             }
         }
 
@@ -387,7 +406,6 @@ impl FitnessNet {
         // LSTM work outright. Nodes are keyed by (function, interned trace
         // value id), so equal keys imply bit-identical input rows.
         let func_dim = self.config.function_embed_dim;
-        let enc_dim = self.config.encoder_hidden_dim;
         let mut trace_trie = SequenceTrie::new(func_dim + enc_dim);
         let mut flat_step = 0usize;
         for candidate in candidates {

@@ -46,7 +46,14 @@
 //! Flushing appends only entries not yet persisted (first-write-wins on
 //! disk, mirroring the in-memory rule), syncs with `fdatasync`, and can
 //! run asynchronously on a background thread — at most one in flight,
-//! joined before the owning cache drops.
+//! joined before the owning cache drops. A durable cache's shards record
+//! each entry they newly publish on a per-stripe pending list, under the
+//! stripe lock the publish already holds; entries loaded at open are not
+//! recorded, and in-memory caches record nothing. A flush drains those
+//! lists, so its cost follows what is new since the last flush, never the
+//! size of the cache. Compaction drains before it exports (an entry
+//! published in between is written twice, never lost), and a broken store
+//! drains and drops the lists, so none grows past one flush interval.
 
 use crate::cache::{FitnessCache, SpecScores};
 use crate::encoding::{TraceEncodingCache, TraceEntry};
@@ -57,7 +64,6 @@ use netsyn_persist::{
     decode_log, dir as persist_dir, ByteReader, ByteWriter, FaultPlan, FaultyFile, FileStorage,
     LogError, LogWriter,
 };
-use std::collections::{HashMap, HashSet};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -101,17 +107,40 @@ pub struct DurableOptions {
 
 impl Default for DurableOptions {
     fn default() -> Self {
-        let flush_every = std::env::var(FLUSH_EVERY_ENV)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(16);
         DurableOptions {
-            flush_every,
+            flush_every: flush_every_from_env(),
             fault: None,
             domain: DomainId::List,
         }
     }
+}
+
+/// The flush interval used when [`FLUSH_EVERY_ENV`] is unset or invalid.
+const DEFAULT_FLUSH_EVERY: usize = 16;
+
+/// The strictly parsed [`FLUSH_EVERY_ENV`] override.
+///
+/// A valid integer `n >= 1` is returned as is. An invalid value — not an
+/// integer, zero, or non-unicode — is *not* silently ignored: one warning
+/// line naming the rejected value and the fallback is printed to stderr,
+/// and [`DEFAULT_FLUSH_EVERY`] is used.
+fn flush_every_from_env() -> usize {
+    static WARNED: std::sync::Once = std::sync::Once::new();
+    let rejected = match std::env::var(FLUSH_EVERY_ENV) {
+        Ok(value) => match value.trim().parse::<usize>() {
+            Ok(n) if n >= 1 => return n,
+            _ => format!("{value:?}"),
+        },
+        Err(std::env::VarError::NotPresent) => return DEFAULT_FLUSH_EVERY,
+        Err(std::env::VarError::NotUnicode(raw)) => format!("{raw:?}"),
+    };
+    WARNED.call_once(|| {
+        warn(&format!(
+            "ignoring invalid {FLUSH_EVERY_ENV}={rejected} (expected an integer >= 1); \
+             flushing every {DEFAULT_FLUSH_EVERY} ticks"
+        ));
+    });
+    DEFAULT_FLUSH_EVERY
 }
 
 /// What a flush appended to disk.
@@ -145,13 +174,14 @@ pub struct LoadReport {
 pub(crate) type ScoreSnapshot = Vec<(String, IoSpec, Arc<SpecScores>)>;
 pub(crate) type TraceSnapshot = Vec<(String, Arc<TraceEncodingCache>)>;
 
+/// The append writers, each opened on the first flush that has entries for
+/// its log. Which entries are new is not tracked here: the shards' pending
+/// lists hold them (see the module docs). Holding this lock serializes
+/// flushes and compaction.
 #[derive(Debug, Default)]
 struct StoreInner {
     scores_writer: Option<LogWriter>,
     traces_writer: Option<LogWriter>,
-    /// Entries already on disk, so flushes append only the delta.
-    persisted_scores: HashMap<(String, IoSpec), HashSet<Program>>,
-    persisted_traces: HashMap<String, HashSet<Box<[usize]>>>,
 }
 
 /// The persistence engine behind a durable [`FitnessCache`] (see the
@@ -163,8 +193,8 @@ pub(crate) struct DurableStore {
     fault: Option<FaultPlan>,
     domain: DomainId,
     tick: AtomicUsize,
-    /// Set on the first flush I/O error: the store degrades to
-    /// memory-only for the rest of the process.
+    /// Set on a flush I/O error or a failed compaction: the store
+    /// degrades to memory-only until a compaction succeeds.
     broken: AtomicBool,
     inner: Mutex<StoreInner>,
     flusher: Mutex<Option<std::thread::JoinHandle<()>>>,
@@ -181,7 +211,6 @@ impl DurableStore {
     ) -> io::Result<Arc<DurableStore>> {
         std::fs::create_dir_all(dir)?;
         let mut report = LoadReport::default();
-        let mut inner = StoreInner::default();
 
         for record in load_log_file(
             &dir.join(SCORES_FILE),
@@ -191,13 +220,8 @@ impl DurableStore {
         ) {
             match decode_scores_record(&record) {
                 Ok((key, spec, entries)) => {
-                    let shard = cache.shard(&key, &spec);
-                    let persisted = inner.persisted_scores.entry((key, spec)).or_default();
-                    for (program, score) in entries {
-                        shard.insert(program.clone(), score);
-                        persisted.insert(program);
-                        report.score_entries += 1;
-                    }
+                    report.score_entries += entries.len();
+                    cache.shard(&key, &spec).load(entries);
                 }
                 Err(reason) => {
                     report.skipped_records += 1;
@@ -217,21 +241,8 @@ impl DurableStore {
         ) {
             match decode_traces_record(&record) {
                 Ok((key, entries)) => {
-                    let shard = cache.trace_shard(&key);
-                    let persisted = inner.persisted_traces.entry(key).or_default();
                     report.trace_entries += entries.len();
-                    let mut keys: Vec<Box<[usize]>> = Vec::with_capacity(entries.len());
-                    let published: Vec<(&[usize], Arc<[f32]>)> = entries
-                        .iter()
-                        .map(|(tokens, hidden)| (&tokens[..], Arc::clone(hidden)))
-                        .collect();
-                    // publish_many is first-write-wins and does not bump the
-                    // encode counter: loaded entries are hits, not misses.
-                    let _ = shard.publish_many(published);
-                    for (tokens, _) in entries {
-                        keys.push(tokens);
-                    }
-                    persisted.extend(keys);
+                    cache.trace_shard(&key).load(entries);
                 }
                 Err(reason) => {
                     report.skipped_records += 1;
@@ -250,7 +261,7 @@ impl DurableStore {
             domain: options.domain,
             tick: AtomicUsize::new(0),
             broken: AtomicBool::new(false),
-            inner: Mutex::new(inner),
+            inner: Mutex::new(StoreInner::default()),
             flusher: Mutex::new(None),
             report,
         }))
@@ -269,33 +280,39 @@ impl DurableStore {
         (self.tick.fetch_add(1, Ordering::Relaxed) + 1).is_multiple_of(self.flush_every)
     }
 
-    /// Append every not-yet-persisted entry of the snapshots, then sync.
+    /// Append every entry the snapshots' shards published since the last
+    /// flush, then sync.
     pub(crate) fn flush_snapshots(
         &self,
         scores: &ScoreSnapshot,
         traces: &TraceSnapshot,
     ) -> FlushStats {
         let mut stats = FlushStats::default();
-        if self.broken.load(Ordering::Relaxed) {
-            return stats;
-        }
+        // Check `broken` under the lock: compaction clears it while holding
+        // the lock, after its own drain.
         let mut inner = lock_recovering(&self.inner);
-        let result = self.append_deltas(&mut inner, scores, traces, &mut stats);
-        if let Err(err) = result {
-            // Degrade to memory-only: correctness never depends on the
-            // durable tier, so a full disk costs warmth, not results.
-            self.broken.store(true, Ordering::Relaxed);
-            inner.scores_writer = None;
-            inner.traces_writer = None;
-            warn(&format!(
-                "flush to {} failed ({err}); cache continues memory-only",
-                self.dir.display()
-            ));
+        if !self.broken.load(Ordering::Relaxed) {
+            if let Err(err) = self.append_pending(&mut inner, scores, traces, &mut stats) {
+                // Degrade to memory-only: correctness never depends on the
+                // durable tier, so a full disk costs warmth, not results.
+                self.broken.store(true, Ordering::Relaxed);
+                inner.scores_writer = None;
+                inner.traces_writer = None;
+                warn(&format!(
+                    "flush to {} failed ({err}); cache continues memory-only",
+                    self.dir.display()
+                ));
+            }
+        }
+        if self.broken.load(Ordering::Relaxed) {
+            // Nothing more reaches disk until a compaction, which writes
+            // everything: drop what is pending so the lists stay bounded.
+            discard_pending(scores, traces);
         }
         stats
     }
 
-    fn append_deltas(
+    fn append_pending(
         &self,
         inner: &mut StoreInner,
         scores: &ScoreSnapshot,
@@ -304,15 +321,7 @@ impl DurableStore {
     ) -> io::Result<()> {
         let mut scores_dirty = false;
         for (key, spec, shard) in scores {
-            let exported = shard.export();
-            let persisted = inner
-                .persisted_scores
-                .entry((key.clone(), spec.clone()))
-                .or_default();
-            let fresh: Vec<(Program, f64)> = exported
-                .into_iter()
-                .filter(|(program, _)| !persisted.contains(program))
-                .collect();
+            let fresh = shard.drain_pending();
             if fresh.is_empty() {
                 continue;
             }
@@ -327,7 +336,6 @@ impl DurableStore {
             writer.append(&record)?;
             scores_dirty = true;
             stats.score_entries += fresh.len();
-            persisted.extend(fresh.into_iter().map(|(program, _)| program));
         }
         if scores_dirty {
             if let Some(writer) = inner.scores_writer.as_mut() {
@@ -337,12 +345,7 @@ impl DurableStore {
 
         let mut traces_dirty = false;
         for (key, shard) in traces {
-            let exported = shard.export();
-            let persisted = inner.persisted_traces.entry(key.clone()).or_default();
-            let fresh: Vec<TraceEntry> = exported
-                .into_iter()
-                .filter(|(tokens, _)| !persisted.contains(tokens))
-                .collect();
+            let fresh = shard.drain_pending();
             if fresh.is_empty() {
                 continue;
             }
@@ -357,7 +360,6 @@ impl DurableStore {
             writer.append(&record)?;
             traces_dirty = true;
             stats.trace_entries += fresh.len();
-            persisted.extend(fresh.into_iter().map(|(tokens, _)| tokens));
         }
         if traces_dirty {
             if let Some(writer) = inner.traces_writer.as_mut() {
@@ -395,17 +397,26 @@ impl DurableStore {
         }
     }
 
-    /// Rewrite both logs from the full snapshots (atomic replace), resetting
-    /// the append state. Clears the broken flag on success — compaction is
-    /// the recovery path after, say, a transiently full disk.
+    /// Rewrite both logs from the full snapshots (atomic replace). Clears
+    /// the broken flag on success — compaction is the recovery path after,
+    /// say, a transiently full disk — and sets it on failure, since the
+    /// pending entries it drained reach disk only through a later
+    /// successful compaction.
     pub(crate) fn compact(&self, scores: &ScoreSnapshot, traces: &TraceSnapshot) -> io::Result<()> {
         let mut inner = lock_recovering(&self.inner);
         inner.scores_writer = None;
         inner.traces_writer = None;
+        // Drain before exporting: an entry published in between is both
+        // exported and pending (a harmless duplicate on disk), never neither.
+        discard_pending(scores, traces);
+        let result = self.rewrite_logs(scores, traces);
+        self.broken.store(result.is_err(), Ordering::Relaxed);
+        result
+    }
 
+    fn rewrite_logs(&self, scores: &ScoreSnapshot, traces: &TraceSnapshot) -> io::Result<()> {
         let mut scores_bytes =
             netsyn_persist::log::encode_header(&encode_app_header(SCORES_KIND, self.domain));
-        let mut persisted_scores: HashMap<(String, IoSpec), HashSet<Program>> = HashMap::new();
         for (key, spec, shard) in scores {
             let exported = shard.export();
             if exported.is_empty() {
@@ -413,16 +424,11 @@ impl DurableStore {
             }
             let record = encode_scores_record(key, spec, &exported);
             scores_bytes.extend_from_slice(&netsyn_persist::log::encode_record(&record));
-            persisted_scores
-                .entry((key.clone(), spec.clone()))
-                .or_default()
-                .extend(exported.into_iter().map(|(program, _)| program));
         }
         persist_dir::atomic_replace(&self.dir.join(SCORES_FILE), &scores_bytes)?;
 
         let mut traces_bytes =
             netsyn_persist::log::encode_header(&encode_app_header(TRACES_KIND, self.domain));
-        let mut persisted_traces: HashMap<String, HashSet<Box<[usize]>>> = HashMap::new();
         for (key, shard) in traces {
             let exported = shard.export();
             if exported.is_empty() {
@@ -430,17 +436,18 @@ impl DurableStore {
             }
             let record = encode_traces_record(key, &exported);
             traces_bytes.extend_from_slice(&netsyn_persist::log::encode_record(&record));
-            persisted_traces
-                .entry(key.clone())
-                .or_default()
-                .extend(exported.into_iter().map(|(tokens, _)| tokens));
         }
-        persist_dir::atomic_replace(&self.dir.join(TRACES_FILE), &traces_bytes)?;
+        persist_dir::atomic_replace(&self.dir.join(TRACES_FILE), &traces_bytes)
+    }
+}
 
-        inner.persisted_scores = persisted_scores;
-        inner.persisted_traces = persisted_traces;
-        self.broken.store(false, Ordering::Relaxed);
-        Ok(())
+/// Drain and drop every pending entry of the snapshots' shards.
+fn discard_pending(scores: &ScoreSnapshot, traces: &TraceSnapshot) {
+    for (_, _, shard) in scores {
+        let _ = shard.drain_pending();
+    }
+    for (_, shard) in traces {
+        let _ = shard.drain_pending();
     }
 }
 

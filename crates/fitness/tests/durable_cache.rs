@@ -14,10 +14,12 @@
 
 use netsyn_dsl::{Function, IntPredicate, IoExample, IoSpec, MapOp, Program, Value};
 use netsyn_fitness::dataset::{generate_dataset, BalanceMetric, DatasetConfig};
+use netsyn_fitness::encoding::encode_candidates;
 use netsyn_fitness::persist::{SCORES_FILE, TRACES_FILE};
 use netsyn_fitness::trainer::{train_fitness_model, FitnessModelKind, TrainerConfig};
 use netsyn_fitness::{
     DurableOptions, FitnessCache, FitnessFunction, FitnessNetConfig, LearnedFitness,
+    TraceEncodingCache,
 };
 use netsyn_persist::{crc32, FaultPlan, MAGIC};
 use rand::SeedableRng;
@@ -198,8 +200,8 @@ fn bit_flip_mid_log_never_yields_a_wrong_score() {
         let cache = FitnessCache::durable(&dir).expect("reopen survives any flip");
         assert_scores_intact(&cache, 8, cache.shard(KEY, &spec()).len());
         drop(cache);
-        // Drop may have re-flushed (already-persisted set covers everything,
-        // so it appends nothing) — restore the damaged state's baseline.
+        // Drop flushes, but loaded entries are never pending, so it
+        // appends nothing — restore the damaged state's baseline anyway.
         std::fs::write(&path, &original).expect("restore log");
     }
 }
@@ -501,4 +503,159 @@ fn trace_encodings_round_trip_and_warm_scores_are_bit_identical() {
     let cold_bits: Vec<u64> = cold_scores.iter().map(|s| s.to_bits()).collect();
     let warm_bits: Vec<u64> = warm_scores.iter().map(|s| s.to_bits()).collect();
     assert_eq!(warm_bits, cold_bits, "warm scores are bit-identical");
+}
+
+/// Persists a directory holding both scores and real trace encodings, and
+/// returns the fitness function whose trace shard it filled.
+fn seed_scores_and_traces(dir: &Path) -> LearnedFitness {
+    let fitness = tiny_fitness();
+    let cache = FitnessCache::durable(dir).expect("open");
+    let traces = cache.trace_shard(&fitness.cache_key());
+    let batch = programs(12);
+    let scores = fitness.score_batch_cached(&batch, &spec(), &traces);
+    let memo = cache.shard(KEY, &spec());
+    for (program, score) in batch.into_iter().zip(scores) {
+        memo.insert(program, score);
+    }
+    let stats = cache.flush().expect("flush");
+    assert!(stats.score_entries > 0 && stats.trace_entries > 0);
+    fitness
+}
+
+#[test]
+fn reopening_a_warm_directory_without_scoring_leaves_both_logs_byte_identical() {
+    let dir = scratch("idle_reopen");
+    seed_scores_and_traces(&dir);
+    let scores_before = std::fs::read(dir.join(SCORES_FILE)).expect("read scores");
+    let traces_before = std::fs::read(dir.join(TRACES_FILE)).expect("read traces");
+
+    {
+        let cache = FitnessCache::durable_with(
+            &dir,
+            DurableOptions {
+                flush_every: 1,
+                ..DurableOptions::default()
+            },
+        )
+        .expect("reopen");
+        let report = cache.load_report().expect("report");
+        assert!(report.score_entries > 0 && report.trace_entries > 0);
+        // Periodic ticks and an explicit flush find nothing new: loaded
+        // entries are never recorded as pending.
+        for _ in 0..4 {
+            cache.maybe_periodic_flush();
+        }
+        assert_eq!(cache.flush(), Some(Default::default()));
+    }
+
+    assert_eq!(
+        std::fs::read(dir.join(SCORES_FILE)).expect("read scores"),
+        scores_before,
+        "an idle reopen must not touch the score log"
+    );
+    assert_eq!(
+        std::fs::read(dir.join(TRACES_FILE)).expect("read traces"),
+        traces_before,
+        "an idle reopen must not touch the trace log"
+    );
+}
+
+#[test]
+fn publishing_after_compact_then_dropping_loses_nothing() {
+    let dir = scratch("compact_then_publish");
+    let progs = programs(10);
+    let tokens: Vec<Vec<usize>> = (0..10).map(|i| vec![i, i + 1, 7]).collect();
+    let hidden = |i: usize| -> std::sync::Arc<[f32]> { vec![i as f32, -0.5].into() };
+    let (score_count, trace_count) = {
+        let cache = FitnessCache::durable(&dir).expect("open");
+        let memo = cache.shard(KEY, &spec());
+        let traces = cache.trace_shard(KEY);
+        for (i, p) in progs.iter().enumerate().take(4) {
+            memo.insert(p.clone(), score_for(i));
+        }
+        let _ = traces.publish_many((0..4).map(|i| (&tokens[i][..], hidden(i))).collect());
+        cache.flush().expect("flush");
+        // Published after the flush, before the compaction: the compaction
+        // writes them, and no later flush may append them again.
+        memo.insert(progs[4].clone(), score_for(4));
+        let _ = traces.publish_many(vec![(&tokens[4][..], hidden(4))]);
+        cache
+            .compact()
+            .expect("durable")
+            .expect("compaction succeeds");
+        for (i, p) in progs.iter().enumerate().skip(5) {
+            memo.insert(p.clone(), score_for(i));
+        }
+        let _ = traces.publish_many((5..10).map(|i| (&tokens[i][..], hidden(i))).collect());
+        (memo.len(), traces.len())
+    };
+    assert_eq!((score_count, trace_count), (10, 10));
+
+    let reopened = FitnessCache::durable(&dir).expect("reopen");
+    let report = reopened.load_report().expect("report");
+    assert_eq!(
+        (report.score_entries, report.trace_entries),
+        (score_count, trace_count),
+        "every entry reaches disk exactly once"
+    );
+    assert_scores_intact(&reopened, 10, 10);
+    assert_eq!(reopened.trace_shard(KEY).len(), trace_count);
+}
+
+#[test]
+fn a_cached_trace_state_of_the_wrong_length_is_a_miss_not_a_panic() {
+    let dir = scratch("wrong_hidden_len");
+    let fitness = tiny_fitness();
+    let batch = programs(6);
+    let spec = spec();
+    let cold_scores = fitness.score_batch_cached(&batch, &spec, &TraceEncodingCache::new());
+
+    // Every trace value the batch encodes gets a stored hidden state one
+    // longer than the model's, under the model's cache key.
+    let net = &fitness.model().net;
+    let wrong_len = net.config().encoder_hidden_dim + 1;
+    let mut values: Vec<Vec<usize>> = encode_candidates(net.encoding(), &spec, &batch)
+        .iter()
+        .flat_map(|candidate| candidate.traces().iter().flatten())
+        .map(|step| step.value_tokens.clone())
+        .collect();
+    values.sort();
+    values.dedup();
+    assert!(!values.is_empty());
+    {
+        let cache = FitnessCache::durable(&dir).expect("open");
+        let _ = cache.trace_shard(&fitness.cache_key()).publish_many(
+            values
+                .iter()
+                .map(|tokens| (&tokens[..], vec![0.25f32; wrong_len].into()))
+                .collect(),
+        );
+    }
+
+    let cache = FitnessCache::durable(&dir).expect("reopen");
+    assert_eq!(
+        cache.load_report().expect("report").trace_entries,
+        values.len()
+    );
+    let traces = cache.trace_shard(&fitness.cache_key());
+    let warm_scores = fitness.score_batch_cached(&batch, &spec, &traces);
+    let cold_bits: Vec<u64> = cold_scores.iter().map(|s| s.to_bits()).collect();
+    let warm_bits: Vec<u64> = warm_scores.iter().map(|s| s.to_bits()).collect();
+    assert_eq!(
+        warm_bits, cold_bits,
+        "scores match a cold cache bit-for-bit"
+    );
+    assert_eq!(
+        traces.encode_count(),
+        values.len(),
+        "every wrong-length state is re-encoded"
+    );
+    let keys: Vec<&[usize]> = values.iter().map(Vec::as_slice).collect();
+    assert!(
+        traces
+            .get_many(&keys)
+            .iter()
+            .all(|stored| stored.as_ref().map(|h| h.len()) == Some(wrong_len)),
+        "the stored entries stay in place (first write wins)"
+    );
 }
